@@ -95,8 +95,8 @@ type Snapshot struct {
 type Job struct {
 	// ID is the job's unique identifier ("j" + 16 hex digits).
 	ID string
-	// Key is the dedup key the job was submitted under ("" for none).
-	Key string
+	// Key is the dedup key the job was submitted under (nil for none).
+	Key any
 	// Priority orders the queue: higher runs first.
 	Priority int
 	// Created is the submission time.

@@ -66,10 +66,10 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // Spec describes one job submission.
 type Spec struct {
-	// Key dedups submissions: while a job with the same Key is queued or
-	// running, Submit joins it instead of starting another solve. Empty
-	// disables dedup.
-	Key string
+	// Key dedups submissions: while a job with an equal Key is queued or
+	// running, Submit joins it instead of starting another solve. Key must
+	// be nil or comparable; nil disables dedup.
+	Key any
 	// Priority orders the queue; higher runs first.
 	Priority int
 	// Timeout bounds the job's total lifetime (queue wait included); 0
@@ -102,7 +102,7 @@ type Manager struct {
 	cond        *sync.Cond
 	queue       jobQueue
 	jobs        map[string]*Job
-	byKey       map[string]*Job // queued or running jobs, by dedup key
+	byKey       map[any]*Job // queued or running jobs, by dedup key
 	submitSeq   uint64
 	running     int
 	down        bool
@@ -123,7 +123,7 @@ func New(cfg Config) *Manager {
 	m := &Manager{
 		cfg:         cfg.withDefaults(),
 		jobs:        make(map[string]*Job),
-		byKey:       make(map[string]*Job),
+		byKey:       make(map[any]*Job),
 		janitorStop: make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -147,7 +147,7 @@ func (m *Manager) Submit(spec Spec) (j *Job, joined bool, err error) {
 	if m.down {
 		return nil, false, ErrShuttingDown
 	}
-	if spec.Key != "" {
+	if spec.Key != nil {
 		if prev := m.byKey[spec.Key]; prev != nil {
 			m.dedupJoined++
 			prev.mu.Lock()
@@ -180,7 +180,7 @@ func (m *Manager) Submit(spec Spec) (j *Job, joined bool, err error) {
 	j.setStateLocked(StateQueued, "")
 	j.mu.Unlock()
 	m.jobs[j.ID] = j
-	if spec.Key != "" {
+	if spec.Key != nil {
 		m.byKey[spec.Key] = j
 	}
 	heap.Push(&m.queue, j)

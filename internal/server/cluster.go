@@ -11,28 +11,30 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/codec"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 )
 
-// The cluster-aware solve path. With a cluster configured, every /v1/solve
-// cache miss on a graph this node does not own is forwarded to the owning
-// peer as a PSV1 binary frame; the owner answers with the PRS1 frame it
-// would serve locally (so binary clients get byte-identical results whether
-// or not their request crossed a node boundary). Forwarding is best-effort:
-// any failure falls back to a local solve, so a dead owner costs dedup and
-// cache locality, never availability.
+// The solve pipeline. /v1/solve and every /v1/batch item resolve through
+// one function, resolve: cache → single-flight → forward-or-solve → certify
+// → fill. Its one artifact is the canonical PRS1 frame, whatever format the
+// requester negotiated — JSON callers render from the frame (the encoding is
+// lossless: floats travel as their exact bits) — so cache, flight and job
+// dedup share one format-free key, and N identical concurrent misses perform
+// exactly one engine solve no matter how the callers mix JSON and binary,
+// solve and batch.
 //
-// With or without a cluster, misses resolve under a single-flight group. The
-// flight value is the canonical PRS1 frame regardless of what the requester
-// negotiated — JSON waiters render from the frame (the encoding is lossless:
-// floats travel as their exact bits) — so the flight key normalizes the
-// response format away and N identical concurrent misses perform exactly one
-// engine solve no matter how the callers mix JSON and binary. Forwarded
-// internal requests land on the owner with that same normalized key, which is
-// what makes the dedup cluster-wide: a thundering herd on one hot graph,
-// spread across every node, collapses to a single solve on the owner.
+// With a cluster configured, every miss on a graph this node does not own is
+// forwarded to the owning peer as a PSV1 binary frame; the owner answers with
+// the PRS1 frame it would serve locally (so binary clients get byte-identical
+// results whether or not their request crossed a node boundary). Forwarded
+// internal requests land on the owner with the same key, which is what makes
+// the dedup cluster-wide: a thundering herd on one hot graph, spread across
+// every node, collapses to a single solve on the owner. Forwarding is
+// best-effort: any failure falls back to a local solve, so a dead owner costs
+// dedup and cache locality, never availability.
 
 // flightBody is a resolved solve miss as shared through the single-flight
 // group: the canonical PRS1 frame, where it came from (for the X-Cluster
@@ -118,13 +120,48 @@ func (s *Server) solveTimeoutOf(ms int64) time.Duration {
 	return timeout
 }
 
+// resolved is one answered solve: the canonical PRS1 frame plus how it was
+// obtained, for the response headers.
+type resolved struct {
+	flightBody
+	cached bool // answered from the result cache
+	shared bool // answered by joining another caller's flight
+}
+
+// resolve answers one parsed solve with its canonical PRS1 frame. Rendering
+// the frame into the negotiated format is the caller's job. Requests whose
+// result may not be shared skip the cache and the flight.
+func (s *Server) resolve(ctx context.Context, p *parsedSolve, internal bool) (resolved, error) {
+	if !p.shared() {
+		fb, err := s.resolveMiss(ctx, p, internal)
+		return resolved{flightBody: fb}, err
+	}
+	key := p.key()
+	if frame, ok := s.cache.Get(key); ok {
+		s.clusterm.observeLookup(internal, true)
+		return resolved{flightBody: flightBody{body: frame}, cached: true}, nil
+	}
+	s.clusterm.observeLookup(internal, false)
+	fb, shared, err := s.flight.Do(key, func() (flightBody, error) {
+		// The solve is detached from this request's cancellation: every
+		// waiter that joined depends on it, and the engine deadline bounds it
+		// regardless. Context values (request ID, remote trace context)
+		// survive. The leader fills the cache once for every waiter.
+		fb, err := s.resolveMiss(context.WithoutCancel(ctx), p, internal)
+		if err == nil {
+			s.cache.Put(key, fb.body)
+		}
+		return fb, err
+	})
+	return resolved{flightBody: fb, shared: shared}, err
+}
+
 // resolveMiss computes the canonical PRS1 frame for a cache miss: forwarded
 // to the owning peer when a cluster is configured and this node does not own
 // the graph, a local engine solve otherwise (and as the fallback for any
 // failed forward). Usually runs as a single-flight leader; internal marks
 // requests that already crossed a node boundary and must not be forwarded
-// again. Rendering into the negotiated response format and the cache fill
-// are the caller's job.
+// again.
 //
 // Every miss runs under a trace: the phase spans feed the per-phase metrics
 // and the flight recorder whether or not the client asked for the tree back.
@@ -208,8 +245,10 @@ func errMessage(err error) string {
 // dead when the failure was transport-level.
 func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve, peer string) (flightBody, bool) {
 	// Trace and noCache are local concerns and do not cross the hop; the
-	// owner always answers the cacheable untraced binary form.
-	frame, err := AppendSolveRequest(nil, SolveParams{
+	// owner always answers the cacheable untraced binary form. The frame is
+	// sized up front: the graph dominates it, and growing it by appends
+	// copies the graph several times over.
+	frame, err := AppendSolveRequest(make([]byte, 0, 40+len(p.req.Solver)+codec.EncodedSize(p.g)), SolveParams{
 		Solver:        p.req.Solver,
 		K:             p.req.K,
 		MaxComponents: p.req.MaxComponents,
@@ -256,42 +295,48 @@ func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve
 }
 
 // solveLocal runs the engine for a miss on this node under the trace already
-// in ctx: admission, solve, certification, and rendering into the canonical
-// PRS1 frame. internal requests (forwarded from a peer) nest the solve under
-// a remote-solve span so traces show which solves served the cluster rather
-// than this node's own clients.
+// in ctx, holding one admission slot for the solve. internal requests
+// (forwarded from a peer) nest the solve under a remote-solve span so traces
+// show which solves served the cluster rather than this node's own clients.
 func (s *Server) solveLocal(ctx context.Context, p *parsedSolve, internal bool) (flightBody, error) {
 	release, err := s.acquireSlotCtx(ctx)
 	if err != nil {
 		return flightBody{}, err
 	}
 	defer release()
-	ser := s.solvem.enter(p.req.Solver)
-	defer s.solvem.exit(ser)
-
-	tctx := ctx
 	if internal {
 		var sp *obs.Span
-		tctx, sp = obs.StartSpan(ctx, "remote-solve")
+		ctx, sp = obs.StartSpan(ctx, "remote-solve")
 		defer sp.End()
 	}
-	ereq := s.engineRequest(*p, 0)
-	res, err := engine.Solve(tctx, ereq)
+	frame, err := s.solveFrame(ctx, p, s.solveTimeoutOf(p.req.TimeoutMs))
+	return flightBody{body: frame}, err
+}
+
+// solveFrame is the local-solve helper shared by the synchronous routes and
+// jobs: an engine solve on an already admitted request, certification when
+// asked for, and the canonical PRS1 frame. timeout 0 leaves the deadline to
+// ctx.
+func (s *Server) solveFrame(ctx context.Context, p *parsedSolve, timeout time.Duration) ([]byte, error) {
+	ser := s.solvem.enter(p.req.Solver)
+	defer s.solvem.exit(ser)
+	ereq := s.engineRequest(p, timeout)
+	res, err := engine.Solve(ctx, ereq)
 	if err != nil {
-		return flightBody{}, err
+		return nil, err
 	}
 	var cert *verifyInfo
 	if p.req.Verify {
 		cert = s.certifyResult(ereq, res)
 	}
-	return flightBody{body: appendSolveResult(nil, p.fp, res, cert)}, nil
+	return appendSolveResult(nil, p.fp, res, cert), nil
 }
 
 // renderJSONResult renders the JSON solve response from the canonical PRS1
-// frame — the rendering half of the solve path, shared by local solves,
-// forwarded results, and single-flight waiters alike. Field-for-field it
-// produces the same bytes marshalResult does for the same solve: the frame
-// carries every float as its exact bits.
+// frame. It is the only JSON rendering of a solve: /v1/solve, batch items
+// and job results all go through it, whether the frame came from a local
+// solve, a forward, a flight or the cache. The frame carries every float as
+// its exact bits, so the rendering is lossless.
 func renderJSONResult(frame []byte, trace *obs.SpanNode, traceID string) ([]byte, error) {
 	sr, rest, err := DecodeSolveResult(frame)
 	if err != nil {

@@ -677,3 +677,95 @@ func TestClusterTraceHeaderSanitization(t *testing.T) {
 		t.Errorf("externally injected trace ID was retained: status %d", gr.StatusCode)
 	}
 }
+
+// metricValue reads one sample of a /metrics page by its full series name.
+func metricValue(t *testing.T, metrics, series string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(metrics, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			var n int64
+			if _, err := fmt.Sscan(v, &n); err != nil {
+				t.Fatalf("series %s: bad value %q", series, v)
+			}
+			return n
+		}
+	}
+	t.Fatalf("metrics lack series %s", series)
+	return 0
+}
+
+// TestClusterBatchReachesOwner: a binary batch sent to a non-owner forwards
+// its missed items to the ring owner, and the same batch sent next to the
+// third node is answered without another engine solve anywhere.
+func TestClusterBatchReachesOwner(t *testing.T) {
+	nodes := newTestCluster(t, 3)
+	g, _ := graphOwnedBy(t, nodes, 0)
+	params := []SolveParams{
+		{Solver: "bandwidth", K: 4 * g.MaxNodeWeight()},
+		{Solver: "bandwidth", K: 6 * g.MaxNodeWeight()},
+	}
+	body, err := AppendBatchRequest(nil, 0, params, []any{g, g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	postBatch := func(node *clusterNode) *BatchResult {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, node.url+"/v1/batch", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", codec.ContentType)
+		req.Header.Set("Accept", codec.ContentType)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch via %s: %d %s (%v)", node.url, resp.StatusCode, raw, err)
+		}
+		out, err := DecodeBatchResult(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Solved != len(params) {
+			t.Fatalf("batch via %s solved %d of %d: %+v", node.url, out.Solved, len(params), out.Items)
+		}
+		return out
+	}
+	peerLookups := func() int64 {
+		m := getText(t, nodes[0].url+"/metrics")
+		return metricValue(t, m, `partitiond_cache_requests_total{tier="peer",result="hit"}`) +
+			metricValue(t, m, `partitiond_cache_requests_total{tier="peer",result="miss"}`)
+	}
+	totalSolves := func() (n int64) {
+		for _, node := range nodes {
+			n += node.solves.Load()
+		}
+		return n
+	}
+
+	before := peerLookups()
+	postBatch(nodes[1])
+	if got := peerLookups() - before; got != int64(len(params)) {
+		t.Errorf("owner saw %d peer-tier lookups, want %d (one per forwarded item)", got, len(params))
+	}
+	if got := nodes[0].solves.Load(); got != int64(len(params)) {
+		t.Errorf("owner performed %d solves, want %d", got, len(params))
+	}
+	if got := totalSolves(); got != int64(len(params)) {
+		t.Errorf("cluster performed %d solves, want %d, all on the owner", got, len(params))
+	}
+
+	second := postBatch(nodes[2])
+	if got := totalSolves(); got != int64(len(params)) {
+		t.Errorf("repeat batch via a third node added %d engine solves, want 0", got-int64(len(params)))
+	}
+	first := postBatch(nodes[1])
+	for i := range params {
+		if second.Items[i].Result.CutWeight != first.Items[i].Result.CutWeight {
+			t.Errorf("item %d answers differ across entry nodes", i)
+		}
+	}
+}

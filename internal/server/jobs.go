@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -25,9 +23,9 @@ import (
 // Events stream of state transitions and live solve-phase spans — or polls
 // GET /v1/jobs/{id}. DELETE /v1/jobs/{id} cancels; the engine's context
 // plumbing aborts the solver mid-loop. Results are retained for
-// Config.JobRetention and flow through the same fingerprint-keyed cache as
-// /v1/solve, and a submission identical to a queued or running job
-// (fingerprint, solver, K, options) joins it instead of solving twice.
+// Config.JobRetention and flow through the same cache of canonical frames as
+// /v1/solve, and a submission identical to a queued or running job (the same
+// cache key) joins it instead of solving twice.
 
 // jobSubmitRequest is the JSON body of POST /v1/jobs: a solve request plus
 // queue placement. Binary (PSV1) bodies carry the same solve fields and take
@@ -66,14 +64,6 @@ type jobResult struct {
 	cached bool
 }
 
-// jobDedupKey identifies a solve for job deduplication: every parameter
-// that changes the answer (the response-format flag excluded — job results
-// are always rendered as JSON).
-func jobDedupKey(p parsedSolve) string {
-	return fmt.Sprintf("%016x|%s|%016x|%d|%t|%t",
-		p.fp, p.req.Solver, math.Float64bits(p.req.K), p.req.MaxComponents, p.req.Verify, p.req.Trace)
-}
-
 // jobAcquire is the manager's admission hook: job workers borrow solve slots
 // from the same limiter as the synchronous routes, but only ever take free
 // ones — polling TryAcquire instead of joining the bounded HTTP wait queue,
@@ -97,14 +87,24 @@ func (s *Server) jobAcquire(ctx context.Context) (func(), error) {
 }
 
 // jobRun builds the closure the worker pool executes for a submitted solve:
-// cache lookup, then an engine solve under a fresh trace whose live span
-// events feed the job's SSE stream, then cache fill. rid is the submitting
+// cache lookup, then a local solve under a fresh trace whose live span events
+// feed the job's SSE stream, then cache fill — the cache entries and the
+// local-solve helper of the synchronous routes. rid is the submitting
 // request's ID, carried into solver logs and engine events for correlation.
+//
+// Jobs neither forward to the ring owner nor join the single-flight group,
+// for two reasons. A flight runs detached from its callers' cancellation, so
+// a job leading one could not be stopped by DELETE /v1/jobs/{id}. And a
+// forwarded solve is capped at the synchronous MaxTimeout, while jobs exist
+// to run past that cap.
 func (s *Server) jobRun(p parsedSolve, rid string) jobs.RunFunc {
-	key := newCacheKey(p.fp, p.req.Solver, p.req.K, p.req.MaxComponents, p.req.Verify, p.req.Trace, false)
 	return func(ctx context.Context, j *jobs.Job) (any, error) {
-		if !p.req.NoCache {
-			if body, ok := s.cache.Get(key); ok {
+		if p.shared() {
+			if frame, ok := s.cache.Get(p.key()); ok {
+				body, err := renderJSONResult(frame, nil, "")
+				if err != nil {
+					return nil, err
+				}
 				return jobResult{body: body, cached: true}, nil
 			}
 		}
@@ -113,22 +113,8 @@ func (s *Server) jobRun(p parsedSolve, rid string) jobs.RunFunc {
 		tr.OnSpan = j.PublishSpan
 		ctx = obs.WithRequestID(ctx, rid)
 		ctx = engine.WithJobID(ctx, j.ID)
-		ereq := engine.Request{
-			Solver: p.req.Solver,
-			K:      p.req.K,
-			Options: engine.Options{
-				MaxComponents: p.req.MaxComponents,
-				// No Options.Timeout: the job's own deadline rides ctx.
-				Observer: s.observer,
-			},
-		}
-		switch g := p.g.(type) {
-		case *graph.Path:
-			ereq.Path = g
-		case *graph.Tree:
-			ereq.Tree = g
-		}
-		res, err := engine.Solve(obs.NewContext(ctx, tr), ereq)
+		// No engine timeout: the job's own deadline rides ctx.
+		frame, err := s.solveFrame(obs.NewContext(ctx, tr), &p, 0)
 		tr.Finish()
 		s.offerTrace(flight.Info{
 			Trace:  tr,
@@ -140,9 +126,8 @@ func (s *Server) jobRun(p parsedSolve, rid string) jobs.RunFunc {
 		if err != nil {
 			return nil, err
 		}
-		var cert *verifyInfo
-		if p.req.Verify {
-			cert = s.certifyResult(ereq, res)
+		if p.shared() {
+			s.cache.Put(p.key(), frame)
 		}
 		var spans *obs.SpanNode
 		var traceID string
@@ -150,12 +135,9 @@ func (s *Server) jobRun(p parsedSolve, rid string) jobs.RunFunc {
 			spans = tr.Tree()
 			traceID = tr.ID.String()
 		}
-		body, err := marshalResult(p.fp, res, cert, spans, traceID)
+		body, err := renderJSONResult(frame, spans, traceID)
 		if err != nil {
 			return nil, err
-		}
-		if !p.req.NoCache {
-			s.cache.Put(key, body)
 		}
 		return jobResult{body: body}, nil
 	}
@@ -174,48 +156,28 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var (
 		p        parsedSolve
 		priority int
+		err      error
 	)
 	if isBinaryMedia(r.Header.Get("Content-Type")) {
 		if pv := r.URL.Query().Get("priority"); pv != "" {
-			var err error
-			priority, err = strconv.Atoi(pv)
-			if err != nil {
+			if priority, err = strconv.Atoi(pv); err != nil {
 				s.writeError(w, http.StatusBadRequest, `bad "priority" query parameter: `+err.Error())
 				return
 			}
 		}
-		buf, err := s.readBody(r)
-		if err != nil {
-			s.writeError(w, requestErrStatus(err), "bad request body: "+err.Error())
-			return
-		}
-		var rest []byte
 		// Jobs outlive the request, so the graph decodes into plain arrays:
 		// the codec pool's recycling discipline is tied to request lifetime.
-		p, rest, err = s.parseBinarySolveInto(buf.Bytes(), nil)
-		s.bufPool.Put(buf)
-		if err != nil {
-			s.writeError(w, requestErrStatus(err), err.Error())
-			return
-		}
-		if len(rest) != 0 {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("%d trailing bytes after the solve frame", len(rest)))
-			return
-		}
+		p, err = s.readSolveFrame(r, nil)
 	} else {
 		var req jobSubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, requestErrStatus(err), "bad request body: "+err.Error())
-			return
+		if err = decodeJSONBody(r, &req); err == nil {
+			priority = req.Priority
+			p, err = s.parseSolve(req.solveRequest)
 		}
-		priority = req.Priority
-		var err error
-		p, err = s.parseSolve(req.solveRequest)
-		if err != nil {
-			s.writeError(w, requestErrStatus(err), err.Error())
-			return
-		}
+	}
+	if err != nil {
+		s.writeError(w, requestErrStatus(err), err.Error())
+		return
 	}
 	timeout := s.cfg.MaxJobTimeout
 	if ms := p.req.TimeoutMs; ms > 0 {
@@ -224,8 +186,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			timeout = s.cfg.MaxJobTimeout
 		}
 	}
+	var key any // nil: no dedup
+	if p.shared() {
+		key = p.key()
+	}
 	j, joined, err := s.jobs.Submit(jobs.Spec{
-		Key:      jobDedupKey(p),
+		Key:      key,
 		Priority: priority,
 		Timeout:  timeout,
 		Run:      s.jobRun(p, obs.RequestIDFrom(r.Context())),

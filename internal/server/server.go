@@ -24,14 +24,17 @@ import (
 type Config struct {
 	// Addr is the listen address for ListenAndServe (default ":8080").
 	Addr string
-	// CacheSize is the result cache capacity in entries; 0 picks the
-	// default (4096) and a negative value disables caching entirely.
+	// CacheSize is the result cache capacity in entries, one canonical PRS1
+	// frame per solve whatever format it was asked in; 0 picks the default
+	// (4096) and a negative value disables caching entirely.
 	CacheSize int
 	// CacheShards spreads the cache over independently locked shards
 	// (default 16).
 	CacheShards int
 	// MaxConcurrent bounds simultaneously running solves (default
-	// GOMAXPROCS).
+	// GOMAXPROCS). Every local solve — a /v1/solve or /v1/batch item miss,
+	// or a job — holds one slot; a batch also resolves at most this many
+	// items at a time.
 	MaxConcurrent int
 	// MaxQueue bounds requests waiting for a solve slot; beyond it
 	// requests are shed with 429 (default 4 × MaxConcurrent).
@@ -53,10 +56,6 @@ type Config struct {
 	// graphs are rejected before any array is allocated; JSON graphs are
 	// checked right after decode. Negative disables the limit.
 	MaxNodes int
-	// BatchWorkers bounds each /v1/batch run's worker pool (default
-	// MaxConcurrent). Batch admission takes one limiter slot per batch;
-	// the pool parallelism inside that slot is this knob.
-	BatchWorkers int
 	// MaxBatchRequests bounds the request count of one batch call
 	// (default 1024).
 	MaxBatchRequests int
@@ -84,9 +83,10 @@ type Config struct {
 	// Observer, when non-nil, is chained after the server's own metrics
 	// collector on every solve — the test and embedding hook.
 	Observer engine.Observer
-	// Cluster, when non-nil, federates this node with its peers: /v1/solve
-	// cache misses on graphs another node owns are forwarded there, and
-	// forwarded requests from peers are answered from this node's shard.
+	// Cluster, when non-nil, federates this node with its peers: cache
+	// misses of /v1/solve and /v1/batch items on graphs another node owns
+	// are forwarded there, and forwarded requests from peers are answered
+	// from this node's shard. Jobs always solve locally.
 	// The caller owns the cluster's lifecycle (Start/Close); the server
 	// only routes through it. See internal/cluster.
 	Cluster *cluster.Cluster
@@ -149,9 +149,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxNodes < 0 {
 		cfg.MaxNodes = 0 // 0 = unlimited downstream
-	}
-	if cfg.BatchWorkers <= 0 {
-		cfg.BatchWorkers = cfg.MaxConcurrent
 	}
 	if cfg.MaxBatchRequests <= 0 {
 		cfg.MaxBatchRequests = 1024

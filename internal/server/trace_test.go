@@ -134,36 +134,59 @@ func TestUntracedSolveOmitsTrace(t *testing.T) {
 	}
 }
 
-// TestTraceCacheSeparation checks traced and untraced responses for the same
-// solve never satisfy each other from the cache.
+// TestTraceCacheSeparation checks traced requests are never answered from
+// the result cache and never fill it: every traced solve runs its own solve
+// and carries its own trace ID, and untraced requests keep their cache.
 func TestTraceCacheSeparation(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
+	traceIDOf := func(rec *httptest.ResponseRecorder) string {
+		t.Helper()
+		var resp solveResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Trace == nil || resp.TraceID == "" {
+			t.Fatalf("traced response lacks its trace: %s", rec.Body.String())
+		}
+		return resp.TraceID
+	}
 
+	// A traced solve on a cold cache must not fill it.
+	tracedCold := doJSON(t, h, "POST", "/v1/solve", solveBody(t, 4, map[string]any{"trace": true}))
+	if c := tracedCold.Header().Get("X-Cache"); c != "MISS" {
+		t.Fatalf("traced cold solve X-Cache = %q, want MISS", c)
+	}
+	coldID := traceIDOf(tracedCold)
 	first := doJSON(t, h, "POST", "/v1/solve", solveBody(t, 4, nil))
 	if c := first.Header().Get("X-Cache"); c != "MISS" {
-		t.Fatalf("first solve X-Cache = %q, want MISS", c)
+		t.Fatalf("untraced solve after a traced one X-Cache = %q, want MISS (traced solves must not fill the cache)", c)
 	}
+
+	// With the untraced entry cached, traced solves still miss, each with a
+	// trace of its own.
 	traced := doJSON(t, h, "POST", "/v1/solve", solveBody(t, 4, map[string]any{"trace": true}))
 	if c := traced.Header().Get("X-Cache"); c != "MISS" {
-		t.Errorf("traced solve X-Cache = %q, want MISS (untraced entry must not satisfy it)", c)
+		t.Errorf("traced solve X-Cache = %q, want MISS (the cache must not answer it)", c)
 	}
-	if !strings.Contains(traced.Body.String(), `"trace"`) {
-		t.Errorf("traced solve response has no trace")
+	tracedID := traceIDOf(traced)
+	replayTraced := doJSON(t, h, "POST", "/v1/solve", solveBody(t, 4, map[string]any{"trace": true}))
+	if c := replayTraced.Header().Get("X-Cache"); c != "MISS" {
+		t.Errorf("repeated traced solve X-Cache = %q, want MISS", c)
 	}
+	if id := traceIDOf(replayTraced); id == tracedID || id == coldID {
+		t.Errorf("repeated traced solve reuses trace ID %s, want a fresh one", id)
+	}
+
 	replayUntraced := doJSON(t, h, "POST", "/v1/solve", solveBody(t, 4, nil))
 	if c := replayUntraced.Header().Get("X-Cache"); c != "HIT" {
 		t.Errorf("untraced replay X-Cache = %q, want HIT", c)
 	}
-	if strings.Contains(replayUntraced.Body.String(), `"trace"`) {
+	if strings.Contains(replayUntraced.Body.String(), `"trace`) {
 		t.Errorf("untraced replay contains a trace field")
 	}
-	replayTraced := doJSON(t, h, "POST", "/v1/solve", solveBody(t, 4, map[string]any{"trace": true}))
-	if c := replayTraced.Header().Get("X-Cache"); c != "HIT" {
-		t.Errorf("traced replay X-Cache = %q, want HIT", c)
-	}
-	if replayTraced.Body.String() != traced.Body.String() {
-		t.Errorf("traced replay is not byte-identical to the original traced response")
+	if replayUntraced.Body.String() != first.Body.String() {
+		t.Errorf("untraced replay is not byte-identical to the original untraced response")
 	}
 }
 

@@ -250,8 +250,7 @@ func AppendBatchRequest(dst []byte, timeoutMs int64, items []SolveParams, graphs
 // parseBinarySolve decodes one PSV1 frame from the front of b into a parsed
 // solve, returning the remaining bytes. The graph decodes into the server's
 // pooled arrays; the caller must release it via releaseParsed once the solve
-// is finished (the cache key is the caller's job — it depends on the
-// response format). Size-limit violations surface as codec.ErrTooLarge.
+// is finished. Size-limit violations surface as codec.ErrTooLarge.
 //
 // On error, the returned rest distinguishes two cases: rest shorter than b
 // means the frame itself was structurally sound and decoding can continue at
@@ -363,7 +362,8 @@ func (s *Server) releaseParsed(p *parsedSolve) {
 	}
 }
 
-// appendSolveResult renders the PRS1 binary twin of marshalResult.
+// appendSolveResult renders the canonical PRS1 frame of one solve result —
+// the artifact the cache holds and every response format derives from.
 func appendSolveResult(dst []byte, fp uint64, res engine.Result, cert *verifyInfo) []byte {
 	if dst == nil {
 		// One allocation for the whole frame: fixed fields plus worst-case
