@@ -68,7 +68,6 @@ func main() {
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	cacheSize := flag.Int("cache-size", 4096, "result cache capacity in entries (negative disables caching)")
-	cacheShards := flag.Int("cache-shards", 16, "result cache shard count")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max simultaneous solves (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "max requests waiting for a solve slot (0 = 4x max-concurrent); beyond it requests are shed with 429")
 	queueTimeout := flag.Duration("queue-timeout", 2*time.Second, "max time a request may wait for a solve slot before a 503")
@@ -98,9 +97,6 @@ func run() error {
 	}
 
 	// Fail fast on nonsense before binding the port.
-	if *cacheShards <= 0 {
-		return fmt.Errorf("-cache-shards must be positive (got %d)", *cacheShards)
-	}
 	if *maxConcurrent < 0 {
 		return fmt.Errorf("-max-concurrent must be non-negative (got %d)", *maxConcurrent)
 	}
@@ -170,7 +166,6 @@ func run() error {
 	cfg := server.Config{
 		Addr:           *addr,
 		CacheSize:      *cacheSize,
-		CacheShards:    *cacheShards,
 		MaxConcurrent:  *maxConcurrent,
 		MaxQueue:       *queue,
 		QueueTimeout:   *queueTimeout,

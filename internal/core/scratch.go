@@ -78,9 +78,12 @@ func getScratch() *scratch {
 func (s *scratch) release() { solvePool.Put(s) }
 
 // ScratchPoolStats reports solver-scratch pool traffic: gets since process
-// start, and how many of those allocated a fresh scratch.
+// start, and how many of those allocated a fresh scratch. news is loaded
+// first: a get is counted before its miss, and both only grow, so the pair
+// always has news <= gets even while checkouts race the read.
 func ScratchPoolStats() (gets, news uint64) {
-	return scratchGets.Load(), scratchNews.Load()
+	news = scratchNews.Load()
+	return scratchGets.Load(), news
 }
 
 // growF returns a []float64 of length n reusing s's capacity.

@@ -414,16 +414,14 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 // clustering is configured.
 func (s *Server) writeClusterMetrics(w io.Writer) {
 	m := &s.clusterm
-	fmt.Fprintf(w, "# HELP partitiond_cache_requests_total Result cache lookups by requester tier (local clients vs forwarded peer requests) and outcome.\n")
-	fmt.Fprintf(w, "# TYPE partitiond_cache_requests_total counter\n")
+	family(w, "partitiond_cache_requests_total", "counter", "Result cache lookups by requester tier (local clients vs forwarded peer requests) and outcome.")
 	fmt.Fprintf(w, "partitiond_cache_requests_total{tier=\"local\",result=\"hit\"} %d\n", m.localHits.Load())
 	fmt.Fprintf(w, "partitiond_cache_requests_total{tier=\"local\",result=\"miss\"} %d\n", m.localMisses.Load())
 	fmt.Fprintf(w, "partitiond_cache_requests_total{tier=\"peer\",result=\"hit\"} %d\n", m.peerHits.Load())
 	fmt.Fprintf(w, "partitiond_cache_requests_total{tier=\"peer\",result=\"miss\"} %d\n", m.peerMisses.Load())
 
 	leads, shared := s.flight.Stats()
-	fmt.Fprintf(w, "# HELP partitiond_singleflight_total Solve-miss single-flight outcomes: led executions vs results shared from a concurrent identical miss.\n")
-	fmt.Fprintf(w, "# TYPE partitiond_singleflight_total counter\n")
+	family(w, "partitiond_singleflight_total", "counter", "Solve-miss single-flight outcomes: led executions vs results shared from a concurrent identical miss.")
 	fmt.Fprintf(w, "partitiond_singleflight_total{result=\"lead\"} %d\n", leads)
 	fmt.Fprintf(w, "partitiond_singleflight_total{result=\"shared\"} %d\n", shared)
 
@@ -431,13 +429,11 @@ func (s *Server) writeClusterMetrics(w io.Writer) {
 		return
 	}
 	st := s.cluster.Status()
-	fmt.Fprintf(w, "# HELP partitiond_cluster_forwards_total Solves forwarded to owning peers by outcome (hit/miss = owner's cache answer; error = failed forward, solved locally).\n")
-	fmt.Fprintf(w, "# TYPE partitiond_cluster_forwards_total counter\n")
+	family(w, "partitiond_cluster_forwards_total", "counter", "Solves forwarded to owning peers by outcome (hit/miss = owner's cache answer; error = failed forward, solved locally).")
 	fmt.Fprintf(w, "partitiond_cluster_forwards_total{outcome=\"hit\"} %d\n", st.Forwards.Hit)
 	fmt.Fprintf(w, "partitiond_cluster_forwards_total{outcome=\"miss\"} %d\n", st.Forwards.Miss)
 	fmt.Fprintf(w, "partitiond_cluster_forwards_total{outcome=\"error\"} %d\n", st.Forwards.Errors)
-	fmt.Fprintf(w, "# HELP partitiond_cluster_peers Cluster peers by health state, from this node's view (self counts as alive).\n")
-	fmt.Fprintf(w, "# TYPE partitiond_cluster_peers gauge\n")
+	family(w, "partitiond_cluster_peers", "gauge", "Cluster peers by health state, from this node's view (self counts as alive).")
 	fmt.Fprintf(w, "partitiond_cluster_peers{state=\"alive\"} %d\n", st.Alive)
 	fmt.Fprintf(w, "partitiond_cluster_peers{state=\"dead\"} %d\n", len(st.Peers)-st.Alive)
 }

@@ -207,3 +207,39 @@ func FuzzDecodeSolveResult(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeBatchResult feeds arbitrary bytes to the PBR1 decoder, the
+// binary /v1/batch response. It must never panic, and a frame it accepts
+// holds at most one item per input byte.
+func FuzzDecodeBatchResult(f *testing.F) {
+	s := fuzzServer(f)
+	h := s.Handler()
+	p1, p2 := fuzzPath(32, 1), fuzzPath(48, 2)
+	req, err := AppendBatchRequest(nil, 0, []SolveParams{
+		{Solver: "bandwidth", K: 4 * p1.MaxNodeWeight()},
+		{Solver: "", K: 1},
+		{Solver: "bandwidth", K: 4 * p2.MaxNodeWeight(), Verify: true},
+	}, []any{p1, p1, p2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // solved items, then the same items from the cache
+		rec := doBin(h, "/v1/batch", req, codec.ContentType)
+		if rec.Code != http.StatusOK {
+			f.Fatalf("seed batch = %d: %s", rec.Code, rec.Body)
+		}
+		b := rec.Body.Bytes()
+		f.Add(b)
+		f.Add(b[:len(b)-3])
+		f.Add(append(append([]byte(nil), b...), 0xEE))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		out, err := DecodeBatchResult(b)
+		if err != nil {
+			return
+		}
+		if len(out.Items) > len(b) {
+			t.Fatalf("%d items decoded from %d bytes", len(out.Items), len(b))
+		}
+	})
+}

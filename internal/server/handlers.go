@@ -693,21 +693,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	httpSnap, httpDur, inFlight := s.httpm.snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	writeMetrics(w, metricsSnapshot{
-		solvers:           s.collector.Snapshot(),
-		cache:             s.cache.Stats(),
-		limiter:           s.limiter.Stats(),
-		http:              httpSnap,
-		httpDurations:     httpDur,
-		httpInFlight:      inFlight,
-		verifyCertified:   s.verifyCertified.Load(),
-		verifyUncertified: s.verifyUncertified.Load(),
-		uptime:            time.Since(s.started),
-	})
-	writeJobsMetrics(w, s.jobs.Stats())
 	s.solvem.writeTo(w)
+	s.writeServerMetrics(w)
+	writeJobsMetrics(w, s.jobs.Stats())
 	s.writeClusterMetrics(w)
 	s.writeObsMetrics(w)
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -199,7 +198,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, jobs.ErrQueueFull):
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.cfg.RetryAfter.Seconds()))))
 			s.writeError(w, http.StatusTooManyRequests, "job queue full")
 		case errors.Is(err, jobs.ErrShuttingDown):
 			s.writeError(w, http.StatusServiceUnavailable, "server is draining")

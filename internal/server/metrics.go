@@ -1,14 +1,14 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -17,12 +17,24 @@ import (
 
 // Hand-rolled Prometheus text exposition (format version 0.0.4) — the repo
 // is stdlib-only, and the counter surface is small enough that a client
-// library buys nothing. Three sources feed /metrics:
+// library buys nothing. Every family has one owner, and every family header
+// goes through family:
 //
-//   - the engine Observer (per-solver solve/error/latency/iteration counters,
-//     via engine.Collector),
-//   - the cache and limiter snapshots,
-//   - the HTTP layer's own per-route request counters.
+//   - solveMetrics, the server's engine Observer: per-solver series;
+//   - writeServerMetrics: cache, admission, certificate and HTTP series;
+//   - writeJobsMetrics, writeClusterMetrics and writeObsMetrics: the job
+//     queue, cache tiers and cluster, and process-level series.
+
+// family writes one metric family's # HELP and # TYPE lines.
+func family(w io.Writer, name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// single writes a family that holds one unlabeled sample.
+func single(w io.Writer, name, typ, help string, v any) {
+	family(w, name, typ, help)
+	fmt.Fprintf(w, "%s %v\n", name, v)
+}
 
 // httpMetrics counts requests by (route, status code) and tracks a per-route
 // latency histogram, plus an in-flight gauge. Routes are the registered
@@ -84,214 +96,96 @@ func (m *httpMetrics) snapshot() (map[string]map[int]uint64, map[string]obs.Hist
 	return out, hists, m.inFlight
 }
 
-// metricsSnapshot gathers everything one /metrics render needs, captured
-// atomically enough for monitoring purposes.
-type metricsSnapshot struct {
-	solvers           map[string]engine.Aggregate
-	cache             CacheStats
-	limiter           LimiterStats
-	http              map[string]map[int]uint64
-	httpDurations     map[string]obs.HistogramSnapshot
-	httpInFlight      int64
-	verifyCertified   uint64
-	verifyUncertified uint64
-	uptime            time.Duration
+// writeServerMetrics renders the cache, admission, certificate and HTTP
+// series, with series sorted for deterministic output (stable diffs,
+// testable).
+func (s *Server) writeServerMetrics(w io.Writer) {
+	cs := s.cache.Stats()
+	single(w, "partitiond_cache_hits_total", "counter", "Result cache hits.", cs.Hits)
+	single(w, "partitiond_cache_misses_total", "counter", "Result cache misses.", cs.Misses)
+	single(w, "partitiond_cache_evictions_total", "counter", "Result cache LRU evictions.", cs.Evictions)
+	single(w, "partitiond_cache_entries", "gauge", "Result cache resident entries.", cs.Entries)
+	single(w, "partitiond_cache_capacity", "gauge", "Result cache capacity in entries.", cs.Capacity)
+
+	ls := s.limiter.Stats()
+	single(w, "partitiond_admission_in_flight", "gauge", "Solves currently holding an admission slot.", ls.InFlight)
+	single(w, "partitiond_admission_queued", "gauge", "Requests currently waiting for an admission slot.", ls.Queued)
+	single(w, "partitiond_admission_admitted_total", "counter", "Requests granted an admission slot.", ls.Admitted)
+	single(w, "partitiond_admission_shed_queue_full_total", "counter", "Requests shed because the admission queue was full (HTTP 429).", ls.ShedQueueFull)
+	single(w, "partitiond_admission_shed_deadline_total", "counter", "Requests that left the admission queue on deadline or disconnect.", ls.ShedDeadline)
+
+	family(w, "partitiond_verify_total", "counter", "Requested optimality certificates by outcome.")
+	fmt.Fprintf(w, "partitiond_verify_total{result=\"certified\"} %d\n", s.verifyCertified.Load())
+	fmt.Fprintf(w, "partitiond_verify_total{result=\"uncertified\"} %d\n", s.verifyUncertified.Load())
+
+	requests, durations, inFlight := s.httpm.snapshot()
+	family(w, "partitiond_http_requests_total", "counter", "HTTP requests by route and status code.")
+	for _, r := range sortedKeys(requests) {
+		for _, c := range sortedKeys(requests[r]) {
+			fmt.Fprintf(w, "partitiond_http_requests_total{route=%q,code=\"%d\"} %d\n", r, c, requests[r][c])
+		}
+	}
+	family(w, "partitiond_http_request_duration_seconds", "histogram", "HTTP request duration by route.")
+	for _, r := range sortedKeys(durations) {
+		durations[r].WritePrometheus(w, "partitiond_http_request_duration_seconds", map[string]string{"route": r})
+	}
+	single(w, "partitiond_http_in_flight", "gauge", "HTTP requests currently being served.", inFlight)
+	single(w, "partitiond_uptime_seconds", "gauge", "Seconds since the server started.", time.Since(s.started).Seconds())
 }
 
-// writeMetrics renders every gauge and counter in Prometheus text format,
-// with series sorted for deterministic output (stable diffs, testable).
-func writeMetrics(w io.Writer, snap metricsSnapshot) {
-	solvers, cs, ls := snap.solvers, snap.cache, snap.limiter
-	http, httpInFlight := snap.http, snap.httpInFlight
-	verifyCertified, verifyUncertified := snap.verifyCertified, snap.verifyUncertified
-	uptime := snap.uptime
-	names := make([]string, 0, len(solvers))
-	for name := range solvers {
-		names = append(names, name)
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(names)
-
-	series := func(metric, typ, help string, emit func()) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", metric, help, metric, typ)
-		emit()
-	}
-
-	series("partitiond_solver_solves_total", "counter", "Completed solves by solver, including failed ones.", func() {
-		for _, n := range names {
-			fmt.Fprintf(w, "partitiond_solver_solves_total{solver=%q} %d\n", n, solvers[n].Solves)
-		}
-	})
-	series("partitiond_solver_errors_total", "counter", "Solves that returned an error, by solver.", func() {
-		for _, n := range names {
-			fmt.Fprintf(w, "partitiond_solver_errors_total{solver=%q} %d\n", n, solvers[n].Errors)
-		}
-	})
-	series("partitiond_solver_latency_seconds_total", "counter", "Total solve wall time by solver.", func() {
-		for _, n := range names {
-			fmt.Fprintf(w, "partitiond_solver_latency_seconds_total{solver=%q} %g\n", n, solvers[n].TotalDuration.Seconds())
-		}
-	})
-	series("partitiond_solver_latency_seconds_max", "gauge", "Slowest single solve by solver.", func() {
-		for _, n := range names {
-			fmt.Fprintf(w, "partitiond_solver_latency_seconds_max{solver=%q} %g\n", n, solvers[n].MaxDuration.Seconds())
-		}
-	})
-	series("partitiond_solver_iterations_total", "counter", "Solver main-loop iterations by solver.", func() {
-		for _, n := range names {
-			fmt.Fprintf(w, "partitiond_solver_iterations_total{solver=%q} %d\n", n, solvers[n].TotalIterations)
-		}
-	})
-
-	series("partitiond_cache_hits_total", "counter", "Result cache hits.", func() {
-		fmt.Fprintf(w, "partitiond_cache_hits_total %d\n", cs.Hits)
-	})
-	series("partitiond_cache_misses_total", "counter", "Result cache misses.", func() {
-		fmt.Fprintf(w, "partitiond_cache_misses_total %d\n", cs.Misses)
-	})
-	series("partitiond_cache_evictions_total", "counter", "Result cache LRU evictions.", func() {
-		fmt.Fprintf(w, "partitiond_cache_evictions_total %d\n", cs.Evictions)
-	})
-	series("partitiond_cache_entries", "gauge", "Result cache resident entries.", func() {
-		fmt.Fprintf(w, "partitiond_cache_entries %d\n", cs.Entries)
-	})
-	series("partitiond_cache_capacity", "gauge", "Result cache capacity in entries.", func() {
-		fmt.Fprintf(w, "partitiond_cache_capacity %d\n", cs.Capacity)
-	})
-
-	series("partitiond_admission_in_flight", "gauge", "Solves currently holding an admission slot.", func() {
-		fmt.Fprintf(w, "partitiond_admission_in_flight %d\n", ls.InFlight)
-	})
-	series("partitiond_admission_queued", "gauge", "Requests currently waiting for an admission slot.", func() {
-		fmt.Fprintf(w, "partitiond_admission_queued %d\n", ls.Queued)
-	})
-	series("partitiond_admission_admitted_total", "counter", "Requests granted an admission slot.", func() {
-		fmt.Fprintf(w, "partitiond_admission_admitted_total %d\n", ls.Admitted)
-	})
-	series("partitiond_admission_shed_queue_full_total", "counter", "Requests shed because the admission queue was full (HTTP 429).", func() {
-		fmt.Fprintf(w, "partitiond_admission_shed_queue_full_total %d\n", ls.ShedQueueFull)
-	})
-	series("partitiond_admission_shed_deadline_total", "counter", "Requests that left the admission queue on deadline or disconnect.", func() {
-		fmt.Fprintf(w, "partitiond_admission_shed_deadline_total %d\n", ls.ShedDeadline)
-	})
-
-	series("partitiond_verify_total", "counter", "Requested optimality certificates by outcome.", func() {
-		fmt.Fprintf(w, "partitiond_verify_total{result=\"certified\"} %d\n", verifyCertified)
-		fmt.Fprintf(w, "partitiond_verify_total{result=\"uncertified\"} %d\n", verifyUncertified)
-	})
-
-	series("partitiond_http_requests_total", "counter", "HTTP requests by route and status code.", func() {
-		routes := make([]string, 0, len(http))
-		for r := range http {
-			routes = append(routes, r)
-		}
-		sort.Strings(routes)
-		for _, r := range routes {
-			codes := make([]int, 0, len(http[r]))
-			for c := range http[r] {
-				codes = append(codes, c)
-			}
-			sort.Ints(codes)
-			for _, c := range codes {
-				fmt.Fprintf(w, "partitiond_http_requests_total{route=%q,code=\"%d\"} %d\n", r, c, http[r][c])
-			}
-		}
-	})
-	series("partitiond_http_request_duration_seconds", "histogram", "HTTP request duration by route.", func() {
-		routes := make([]string, 0, len(snap.httpDurations))
-		for r := range snap.httpDurations {
-			routes = append(routes, r)
-		}
-		sort.Strings(routes)
-		for _, r := range routes {
-			snap.httpDurations[r].WritePrometheus(w, "partitiond_http_request_duration_seconds", map[string]string{"route": r})
-		}
-	})
-	series("partitiond_http_in_flight", "gauge", "HTTP requests currently being served.", func() {
-		fmt.Fprintf(w, "partitiond_http_in_flight %d\n", httpInFlight)
-	})
-	series("partitiond_uptime_seconds", "gauge", "Seconds since the server started.", func() {
-		fmt.Fprintf(w, "partitiond_uptime_seconds %g\n", uptime.Seconds())
-	})
+	slices.Sort(keys)
+	return keys
 }
 
 // writeObsMetrics renders the process-level observability families: build
 // identity, Go runtime health, pool effectiveness, and the flight recorder's
 // retention accounting.
 func (s *Server) writeObsMetrics(w io.Writer) {
-	series := func(metric, typ, help string, emit func()) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", metric, help, metric, typ)
-		emit()
-	}
-
-	series("partitiond_build_info", "gauge", "Build identity; the value is always 1.", func() {
-		fmt.Fprintf(w, "partitiond_build_info{version=%q,go_version=%q} 1\n",
-			version.Version, version.GoVersion())
-	})
+	family(w, "partitiond_build_info", "gauge", "Build identity; the value is always 1.")
+	fmt.Fprintf(w, "partitiond_build_info{version=%q,go_version=%q} 1\n", version.Version, version.GoVersion())
 
 	rs := obs.ReadRuntimeStats()
-	series("partitiond_go_goroutines", "gauge", "Live goroutines.", func() {
-		fmt.Fprintf(w, "partitiond_go_goroutines %d\n", rs.Goroutines)
-	})
-	series("partitiond_go_heap_alloc_bytes", "gauge", "Bytes of allocated heap objects.", func() {
-		fmt.Fprintf(w, "partitiond_go_heap_alloc_bytes %d\n", rs.HeapAlloc)
-	})
-	series("partitiond_go_heap_sys_bytes", "gauge", "Heap memory obtained from the OS.", func() {
-		fmt.Fprintf(w, "partitiond_go_heap_sys_bytes %d\n", rs.HeapSys)
-	})
-	series("partitiond_go_heap_objects", "gauge", "Live heap objects.", func() {
-		fmt.Fprintf(w, "partitiond_go_heap_objects %d\n", rs.HeapObjects)
-	})
-	series("partitiond_go_gc_next_bytes", "gauge", "Heap size that triggers the next GC cycle.", func() {
-		fmt.Fprintf(w, "partitiond_go_gc_next_bytes %d\n", rs.NextGC)
-	})
-	series("partitiond_go_gc_cycles_total", "counter", "Completed GC cycles.", func() {
-		fmt.Fprintf(w, "partitiond_go_gc_cycles_total %d\n", rs.GCCycles)
-	})
-	series("partitiond_go_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.", func() {
-		fmt.Fprintf(w, "partitiond_go_gc_pause_seconds_total %g\n", rs.GCPauseTotal.Seconds())
-	})
-	series("partitiond_go_gc_cpu_fraction", "gauge", "Fraction of CPU time spent in GC since process start.", func() {
-		fmt.Fprintf(w, "partitiond_go_gc_cpu_fraction %g\n", rs.GCCPUFraction)
-	})
+	single(w, "partitiond_go_goroutines", "gauge", "Live goroutines.", rs.Goroutines)
+	single(w, "partitiond_go_heap_alloc_bytes", "gauge", "Bytes of allocated heap objects.", rs.HeapAlloc)
+	single(w, "partitiond_go_heap_sys_bytes", "gauge", "Heap memory obtained from the OS.", rs.HeapSys)
+	single(w, "partitiond_go_heap_objects", "gauge", "Live heap objects.", rs.HeapObjects)
+	single(w, "partitiond_go_gc_next_bytes", "gauge", "Heap size that triggers the next GC cycle.", rs.NextGC)
+	single(w, "partitiond_go_gc_cycles_total", "counter", "Completed GC cycles.", rs.GCCycles)
+	single(w, "partitiond_go_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.", rs.GCPauseTotal.Seconds())
+	single(w, "partitiond_go_gc_cpu_fraction", "gauge", "Fraction of CPU time spent in GC since process start.", rs.GCCPUFraction)
 
-	series("partitiond_pool_requests_total", "counter", "Object-pool checkouts by pool and result (hit = recycled, new = allocated).", func() {
-		ps := s.graphPool.Stats()
-		fmt.Fprintf(w, "partitiond_pool_requests_total{pool=\"codec-graph\",result=\"hit\"} %d\n", ps.Hits)
-		fmt.Fprintf(w, "partitiond_pool_requests_total{pool=\"codec-graph\",result=\"new\"} %d\n", ps.News)
-		gets, news := core.ScratchPoolStats()
-		fmt.Fprintf(w, "partitiond_pool_requests_total{pool=\"solver-scratch\",result=\"hit\"} %d\n", gets-news)
-		fmt.Fprintf(w, "partitiond_pool_requests_total{pool=\"solver-scratch\",result=\"new\"} %d\n", news)
-	})
+	family(w, "partitiond_pool_requests_total", "counter", "Object-pool checkouts by pool and result (hit = recycled, new = allocated).")
+	ps := s.graphPool.Stats()
+	fmt.Fprintf(w, "partitiond_pool_requests_total{pool=\"codec-graph\",result=\"hit\"} %d\n", ps.Hits)
+	fmt.Fprintf(w, "partitiond_pool_requests_total{pool=\"codec-graph\",result=\"new\"} %d\n", ps.News)
+	gets, news := core.ScratchPoolStats()
+	fmt.Fprintf(w, "partitiond_pool_requests_total{pool=\"solver-scratch\",result=\"hit\"} %d\n", gets-news)
+	fmt.Fprintf(w, "partitiond_pool_requests_total{pool=\"solver-scratch\",result=\"new\"} %d\n", news)
 
 	if s.recorder == nil {
 		return
 	}
 	st := s.recorder.Stats()
-	series("partitiond_traces_offered_total", "counter", "Finished request traces offered to the flight recorder.", func() {
-		fmt.Fprintf(w, "partitiond_traces_offered_total %d\n", st.Offered)
-	})
-	series("partitiond_traces_retained_total", "counter", "Traces retained by the flight recorder, by retention reason.", func() {
-		for _, reason := range flight.Reasons() {
-			fmt.Fprintf(w, "partitiond_traces_retained_total{reason=%q} %d\n", reason, st.KeptByReason[reason])
-		}
-	})
-	series("partitiond_traces_dropped_total", "counter", "Traces offered but not retained (no retention rule matched).", func() {
-		fmt.Fprintf(w, "partitiond_traces_dropped_total %d\n", st.Dropped)
-	})
-	series("partitiond_trace_store_evicted_total", "counter", "Retained traces evicted from the store, by cap that forced it.", func() {
-		fmt.Fprintf(w, "partitiond_trace_store_evicted_total{cause=\"count\"} %d\n", st.EvictedCount)
-		fmt.Fprintf(w, "partitiond_trace_store_evicted_total{cause=\"bytes\"} %d\n", st.EvictedBytes)
-	})
-	series("partitiond_trace_store_traces", "gauge", "Traces resident in the flight-recorder store.", func() {
-		fmt.Fprintf(w, "partitiond_trace_store_traces %d\n", st.Traces)
-	})
-	series("partitiond_trace_store_bytes", "gauge", "Approximate bytes resident in the flight-recorder store.", func() {
-		fmt.Fprintf(w, "partitiond_trace_store_bytes %d\n", st.Bytes)
-	})
-	series("partitiond_trace_store_capacity", "gauge", "Flight-recorder store caps, by dimension.", func() {
-		fmt.Fprintf(w, "partitiond_trace_store_capacity{dimension=\"traces\"} %d\n", st.CapTraces)
-		fmt.Fprintf(w, "partitiond_trace_store_capacity{dimension=\"bytes\"} %d\n", st.CapBytes)
-	})
+	single(w, "partitiond_traces_offered_total", "counter", "Finished request traces offered to the flight recorder.", st.Offered)
+	family(w, "partitiond_traces_retained_total", "counter", "Traces retained by the flight recorder, by retention reason.")
+	for _, reason := range flight.Reasons() {
+		fmt.Fprintf(w, "partitiond_traces_retained_total{reason=%q} %d\n", reason, st.KeptByReason[reason])
+	}
+	single(w, "partitiond_traces_dropped_total", "counter", "Traces offered but not retained (no retention rule matched).", st.Dropped)
+	family(w, "partitiond_trace_store_evicted_total", "counter", "Retained traces evicted from the store, by cap that forced it.")
+	fmt.Fprintf(w, "partitiond_trace_store_evicted_total{cause=\"count\"} %d\n", st.EvictedCount)
+	fmt.Fprintf(w, "partitiond_trace_store_evicted_total{cause=\"bytes\"} %d\n", st.EvictedBytes)
+	single(w, "partitiond_trace_store_traces", "gauge", "Traces resident in the flight-recorder store.", st.Traces)
+	single(w, "partitiond_trace_store_bytes", "gauge", "Approximate bytes resident in the flight-recorder store.", st.Bytes)
+	family(w, "partitiond_trace_store_capacity", "gauge", "Flight-recorder store caps, by dimension.")
+	fmt.Fprintf(w, "partitiond_trace_store_capacity{dimension=\"traces\"} %d\n", st.CapTraces)
+	fmt.Fprintf(w, "partitiond_trace_store_capacity{dimension=\"bytes\"} %d\n", st.CapBytes)
 }
 
 // writeJobsMetrics renders the async job subsystem's series. The
@@ -299,36 +193,15 @@ func (s *Server) writeObsMetrics(w io.Writer) {
 // cumulative counters, while "queued" and "running" are the current
 // occupancy (which is why the family is declared a gauge).
 func writeJobsMetrics(w io.Writer, st jobs.Stats) {
-	series := func(metric, typ, help string, emit func()) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", metric, help, metric, typ)
-		emit()
-	}
-	series("partitiond_jobs_total", "gauge", "Async jobs by state: current occupancy for queued/running, cumulative for terminal states.", func() {
-		fmt.Fprintf(w, "partitiond_jobs_total{state=\"queued\"} %d\n", st.Queued)
-		fmt.Fprintf(w, "partitiond_jobs_total{state=\"running\"} %d\n", st.Running)
-		fmt.Fprintf(w, "partitiond_jobs_total{state=\"succeeded\"} %d\n", st.Succeeded)
-		fmt.Fprintf(w, "partitiond_jobs_total{state=\"failed\"} %d\n", st.Failed)
-		fmt.Fprintf(w, "partitiond_jobs_total{state=\"canceled\"} %d\n", st.Canceled)
-	})
-	series("partitiond_jobs_submitted_total", "counter", "Accepted job submissions (dedup joins excluded).", func() {
-		fmt.Fprintf(w, "partitiond_jobs_submitted_total %d\n", st.Submitted)
-	})
-	series("partitiond_jobs_dedup_joined_total", "counter", "Job submissions answered by an existing identical job.", func() {
-		fmt.Fprintf(w, "partitiond_jobs_dedup_joined_total %d\n", st.DedupJoined)
-	})
-	series("partitiond_jobs_queue_depth", "gauge", "Jobs waiting for a worker.", func() {
-		fmt.Fprintf(w, "partitiond_jobs_queue_depth %d\n", st.Queued)
-	})
-	series("partitiond_jobs_queue_capacity", "gauge", "Job queue capacity.", func() {
-		fmt.Fprintf(w, "partitiond_jobs_queue_capacity %d\n", st.QueueCap)
-	})
-	series("partitiond_jobs_workers", "gauge", "Job worker pool size.", func() {
-		fmt.Fprintf(w, "partitiond_jobs_workers %d\n", st.Workers)
-	})
-	series("partitiond_jobs_workers_busy", "gauge", "Job workers currently running a solve.", func() {
-		fmt.Fprintf(w, "partitiond_jobs_workers_busy %d\n", st.Running)
-	})
-	series("partitiond_jobs_retained", "gauge", "Jobs currently retained (all states).", func() {
-		fmt.Fprintf(w, "partitiond_jobs_retained %d\n", st.Retained)
-	})
+	family(w, "partitiond_jobs_total", "gauge", "Async jobs by state: current occupancy for queued/running, cumulative for terminal states.")
+	fmt.Fprintf(w, "partitiond_jobs_total{state=\"queued\"} %d\n", st.Queued)
+	fmt.Fprintf(w, "partitiond_jobs_total{state=\"running\"} %d\n", st.Running)
+	fmt.Fprintf(w, "partitiond_jobs_total{state=\"succeeded\"} %d\n", st.Succeeded)
+	fmt.Fprintf(w, "partitiond_jobs_total{state=\"failed\"} %d\n", st.Failed)
+	fmt.Fprintf(w, "partitiond_jobs_total{state=\"canceled\"} %d\n", st.Canceled)
+	single(w, "partitiond_jobs_submitted_total", "counter", "Accepted job submissions (dedup joins excluded).", st.Submitted)
+	single(w, "partitiond_jobs_dedup_joined_total", "counter", "Job submissions answered by an existing identical job.", st.DedupJoined)
+	single(w, "partitiond_jobs_queue_capacity", "gauge", "Job queue capacity.", st.QueueCap)
+	single(w, "partitiond_jobs_workers", "gauge", "Job worker pool size.", st.Workers)
+	single(w, "partitiond_jobs_retained", "gauge", "Jobs currently retained (all states).", st.Retained)
 }

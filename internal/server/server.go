@@ -28,9 +28,6 @@ type Config struct {
 	// frame per solve whatever format it was asked in; 0 picks the default
 	// (4096) and a negative value disables caching entirely.
 	CacheSize int
-	// CacheShards spreads the cache over independently locked shards
-	// (default 16).
-	CacheShards int
 	// MaxConcurrent bounds simultaneously running solves (default
 	// GOMAXPROCS). Every local solve — a /v1/solve or /v1/batch item miss,
 	// or a job — holds one slot; a batch also resolves at most this many
@@ -80,8 +77,8 @@ type Config struct {
 	// Logger receives structured request and lifecycle logs; nil means
 	// slog.Default().
 	Logger *slog.Logger
-	// Observer, when non-nil, is chained after the server's own metrics
-	// collector on every solve — the test and embedding hook.
+	// Observer, when non-nil, is chained after the server's own solve
+	// metrics on every solve — the test and embedding hook.
 	Observer engine.Observer
 	// Cluster, when non-nil, federates this node with its peers: cache
 	// misses of /v1/solve and /v1/batch items on graphs another node owns
@@ -116,9 +113,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 4096
-	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = 16
 	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = runtime.GOMAXPROCS(0)
@@ -183,24 +177,26 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
+// cacheShards spreads the result cache over independently locked shards.
+const cacheShards = 16
+
 // Server is the partitiond serving layer: HTTP handlers over the engine
 // registry with caching, admission control, and metrics. Construct with New;
 // drive with ListenAndServe/Serve; stop with Shutdown, which drains
 // in-flight solves.
 type Server struct {
-	cfg       Config
-	cache     *Cache
-	limiter   *Limiter
-	collector *engine.Collector
-	solvem    *solveMetrics    // latency histograms + phase accounting
-	observer  engine.Observer  // collector + solvem (+ cfg.Observer), attached to every solve
-	jobs      *jobs.Manager    // async job queue + worker pool
-	recorder  *flight.Recorder // always-on trace store; nil when disabled
-	httpm     *httpMetrics
-	handler   http.Handler
-	hs        *http.Server
-	draining  atomic.Bool
-	started   time.Time
+	cfg      Config
+	cache    *Cache
+	limiter  *Limiter
+	solvem   *solveMetrics    // every per-solver series on /metrics
+	observer engine.Observer  // solvem (+ cfg.Observer), attached to every solve
+	jobs     *jobs.Manager    // async job queue + worker pool
+	recorder *flight.Recorder // always-on trace store; nil when disabled
+	httpm    *httpMetrics
+	handler  http.Handler
+	hs       *http.Server
+	draining atomic.Bool
+	started  time.Time
 
 	// cluster is the optional multi-node view (nil = single node); flight
 	// dedups concurrent identical cache misses into one solve, locally and
@@ -230,7 +226,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		limiter:     NewLimiter(cfg.MaxConcurrent, cfg.MaxQueue),
-		collector:   engine.NewCollector(),
 		solvem:      newSolveMetrics(),
 		httpm:       newHTTPMetrics(),
 		started:     time.Now(),
@@ -240,7 +235,7 @@ func New(cfg Config) *Server {
 		cluster:     cfg.Cluster,
 	}
 	if cfg.CacheSize > 0 {
-		s.cache = NewCache(cfg.CacheSize, cfg.CacheShards)
+		s.cache = NewCache(cfg.CacheSize, cacheShards)
 	}
 	if cfg.TraceStore > 0 {
 		s.recorder = flight.New(flight.Config{
@@ -251,7 +246,7 @@ func New(cfg Config) *Server {
 			SlowThreshold: s.solvem.slowFor,
 		})
 	}
-	s.observer = engine.Observers(s.collector, s.solvem, cfg.Observer)
+	s.observer = engine.Observers(s.solvem, cfg.Observer)
 	s.jobs = jobs.New(jobs.Config{
 		Workers:     cfg.JobWorkers,
 		QueueCap:    cfg.JobQueue,
@@ -415,12 +410,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.cfg.Logger.Info("drained", "err", err)
 	return err
-}
-
-// MetricsSnapshot returns the per-solver aggregates the server's engine
-// observer has collected — the programmatic twin of /metrics.
-func (s *Server) MetricsSnapshot() map[string]engine.Aggregate {
-	return s.collector.Snapshot()
 }
 
 // CacheStats snapshots the result cache counters.

@@ -177,8 +177,8 @@ func TestSolveCacheHitByteIdentical(t *testing.T) {
 	if n := observed.Load(); n != 1 {
 		t.Errorf("engine invoked %d times, want exactly 1", n)
 	}
-	if agg := s.MetricsSnapshot()["bandwidth"]; agg.Solves != 1 {
-		t.Errorf("collector saw %d solves, want 1 (chained observers disagree)", agg.Solves)
+	if n := s.solvem.seriesFor("bandwidth").hist.Count(); n != 1 {
+		t.Errorf("solve histogram counted %d solves, want 1 (chained observers disagree)", n)
 	}
 	if st := s.CacheStats(); st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("cache stats = %+v, want 1 hit / 1 miss", st)
@@ -502,19 +502,73 @@ func TestSolversHealthzMetrics(t *testing.T) {
 	}
 	text := met.Body.String()
 	for _, want := range []string{
-		`partitiond_solver_solves_total{solver="bandwidth"} 1`,
+		`partitiond_solve_duration_seconds_count{solver="bandwidth"} 1`,
 		`partitiond_cache_hits_total 1`,
 		`partitiond_cache_misses_total 1`,
 		`partitiond_admission_admitted_total 1`,
 		`partitiond_http_requests_total{route="/v1/solve",code="200"} 2`,
-		"# TYPE partitiond_solver_latency_seconds_total counter",
+		"# TYPE partitiond_solve_duration_seconds histogram",
 		"partitiond_http_in_flight 1", // the /metrics request itself
 		`partitiond_jobs_total{state="succeeded"} 0`,
 		"partitiond_jobs_queue_capacity 64",
-		"partitiond_jobs_workers_busy 0",
+		`partitiond_jobs_total{state="running"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)
+		}
+	}
+}
+
+// TestSolveFailureMetrics: a failed solve moves every per-solver counter the
+// server's solve observer owns, and the exposition declares each family once,
+// with every sample under the # TYPE line of the one family it belongs to.
+func TestSolveFailureMetrics(t *testing.T) {
+	s := newTestServer(t, Config{})
+	g := pathGraphJSON(t, 200, 8)
+	// A two-component cap no cut meets: 422 after the solver has iterated.
+	if rec := doJSON(t, s.Handler(), "POST", "/v1/solve", solveRequest{Solver: "bandwidth", K: 600, MaxComponents: 2, Graph: g}); rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("infeasible solve = %d %s, want 422", rec.Code, rec.Body)
+	}
+	text := doJSON(t, s.Handler(), "GET", "/metrics", nil).Body.String()
+	for _, series := range []string{
+		`partitiond_solver_errors_total{solver="bandwidth"}`,
+		`partitiond_solve_duration_seconds_count{solver="bandwidth"}`,
+	} {
+		if n := metricValue(t, text, series); n != 1 {
+			t.Errorf("%s = %d, want 1", series, n)
+		}
+	}
+	if n := metricValue(t, text, `partitiond_solver_iterations_total{solver="bandwidth"}`); n < 1 {
+		t.Errorf("iterations_total = %d, want at least 1", n)
+	}
+
+	types := map[string]string{} // family → type
+	current := ""
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if decl, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(decl, " ")
+			if _, dup := types[name]; dup {
+				t.Errorf("family %s declared twice", name)
+			}
+			types[name], current = typ, name
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		var owners []string
+		if _, ok := types[name]; ok {
+			owners = append(owners, name)
+		}
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok && types[base] == "histogram" {
+				owners = append(owners, base)
+			}
+		}
+		if len(owners) != 1 || owners[0] != current {
+			t.Errorf("sample %q: families %v, want exactly the current one %s", line, owners, current)
 		}
 	}
 }

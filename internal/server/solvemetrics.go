@@ -3,8 +3,8 @@ package server
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,24 +22,30 @@ const (
 	slowMinCount     = 64
 )
 
-// solveSeries is one solver's metric state: the latency histogram, phase
-// totals, the live in-flight gauge, the cached adaptive slow threshold, and
-// the per-bucket exemplars linking buckets to retained traces.
+// solveSeries is one solver's metric state: the latency histogram (whose
+// count and sum are the solve count and total wall time), the error,
+// iteration and slowest-solve tallies, phase totals, the live in-flight
+// gauge, the cached adaptive slow threshold, and the per-bucket exemplars
+// linking buckets to retained traces.
 type solveSeries struct {
-	hist      *obs.Histogram
-	phases    map[string]obs.PhaseStat
-	inFlight  atomic.Int64
-	slowBits  atomic.Uint64  // float64 bits of the cached p99, in seconds
-	refreshAt atomic.Uint64  // histogram count that triggers the next refresh
-	exemplars []obs.Exemplar // len(bounds)+1, guarded by solveMetrics.mu
+	hist       *obs.Histogram
+	errors     atomic.Int64
+	iterations atomic.Int64
+	maxNanos   atomic.Int64 // slowest single solve
+	phases     map[string]obs.PhaseStat
+	inFlight   atomic.Int64
+	slowBits   atomic.Uint64  // float64 bits of the cached p99, in seconds
+	refreshAt  atomic.Uint64  // histogram count that triggers the next refresh
+	exemplars  []obs.Exemplar // len(bounds)+1, guarded by solveMetrics.mu
 }
 
-// solveMetrics is the engine Observer behind the solve-latency histograms and
-// the per-phase time accounting on /metrics. It sees every solve the server
-// runs — standalone and batch items alike — because it is chained into the
-// server's observer. The histograms themselves are lock-free; the mutex only
-// guards the map that lazily creates one series per solver, the phase totals,
-// and the exemplar slots.
+// solveMetrics is the server's one engine Observer: it owns every per-solver
+// series on /metrics — latency histograms, error and iteration counts, the
+// slowest solve, in-flight gauges and the per-phase time accounting. It sees
+// every solve the server runs, standalone, batch item and job alike. The
+// histograms and tallies are lock-free; the mutex only guards the map that
+// lazily creates one series per solver, the phase totals, and the exemplar
+// slots.
 type solveMetrics struct {
 	mu     sync.Mutex
 	series map[string]*solveSeries
@@ -79,6 +85,16 @@ func (m *solveMetrics) Observe(ev engine.Event) {
 		m.mu.Unlock()
 	}
 	ser.hist.ObserveDuration(ev.Stats.Duration)
+	if ev.Err != nil {
+		ser.errors.Add(1)
+	}
+	ser.iterations.Add(ev.Stats.Iterations)
+	for d := int64(ev.Stats.Duration); ; {
+		cur := ser.maxNanos.Load()
+		if d <= cur || ser.maxNanos.CompareAndSwap(cur, d) {
+			break
+		}
+	}
 	// Refresh the cached p99 on a sparse schedule. The CAS makes one racing
 	// observer do the snapshot; everyone else keeps the fast path.
 	if n := ser.hist.Count(); n >= slowMinCount {
@@ -131,67 +147,52 @@ func (m *solveMetrics) setExemplar(solver string, d time.Duration, traceID strin
 	m.mu.Unlock()
 }
 
-// writeTo renders the solve histogram (with exemplars), phase, and in-flight
-// series in Prometheus text format, sorted for deterministic output.
+// writeTo renders every per-solver family in Prometheus text format, sorted
+// for deterministic output.
 func (m *solveMetrics) writeTo(w io.Writer) {
+	// Copy what the mutex guards; histograms and tallies read lock-free.
 	m.mu.Lock()
-	solvers := make([]string, 0, len(m.series))
-	for name := range m.series {
-		solvers = append(solvers, name)
-	}
-	sort.Strings(solvers)
-	// Copy the exemplar slices under the lock; histograms snapshot lock-free.
-	exemplars := make(map[string][]obs.Exemplar, len(solvers))
-	for name, ser := range m.series {
-		if len(ser.exemplars) > 0 {
-			exemplars[name] = append([]obs.Exemplar(nil), ser.exemplars...)
-		}
+	solvers := sortedKeys(m.series)
+	sers := make([]*solveSeries, len(solvers))
+	exemplars := make([][]obs.Exemplar, len(solvers))
+	phases := make([]map[string]obs.PhaseStat, len(solvers))
+	for i, name := range solvers {
+		sers[i] = m.series[name]
+		exemplars[i] = append([]obs.Exemplar(nil), sers[i].exemplars...)
+		phases[i] = maps.Clone(sers[i].phases)
 	}
 	m.mu.Unlock()
 
-	fmt.Fprint(w, "# HELP partitiond_solve_duration_seconds Solve wall time by solver.\n# TYPE partitiond_solve_duration_seconds histogram\n")
-	for _, name := range solvers {
-		m.seriesFor(name).hist.Snapshot().WritePrometheusExemplars(
-			w, "partitiond_solve_duration_seconds", map[string]string{"solver": name}, exemplars[name])
+	family(w, "partitiond_solve_duration_seconds", "histogram", "Solve wall time by solver.")
+	for i, name := range solvers {
+		sers[i].hist.Snapshot().WritePrometheusExemplars(
+			w, "partitiond_solve_duration_seconds", map[string]string{"solver": name}, exemplars[i])
 	}
-
-	fmt.Fprint(w, "# HELP partitiond_solver_in_flight Engine solves currently running, by solver.\n# TYPE partitiond_solver_in_flight gauge\n")
-	for _, name := range solvers {
-		fmt.Fprintf(w, "partitiond_solver_in_flight{solver=%q} %d\n", name, m.seriesFor(name).inFlight.Load())
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	phased := make([]string, 0, len(m.series))
-	for name, ser := range m.series {
-		if len(ser.phases) > 0 {
-			phased = append(phased, name)
+	perSolver := func(metric, typ, help string, value func(*solveSeries) any) {
+		family(w, metric, typ, help)
+		for i, name := range solvers {
+			fmt.Fprintf(w, "%s{solver=%q} %v\n", metric, name, value(sers[i]))
 		}
 	}
-	sort.Strings(phased)
-	fmt.Fprint(w, "# HELP partitiond_solve_phase_seconds_total Time spent inside each solver phase span.\n# TYPE partitiond_solve_phase_seconds_total counter\n")
-	for _, name := range phased {
-		per := m.series[name].phases
-		for _, phase := range sortedPhases(per) {
-			fmt.Fprintf(w, "partitiond_solve_phase_seconds_total{solver=%q,phase=%q} %g\n",
-				name, phase, per[phase].Total.Seconds())
-		}
-	}
-	fmt.Fprint(w, "# HELP partitiond_solve_phase_count_total Phase spans recorded, by solver and phase.\n# TYPE partitiond_solve_phase_count_total counter\n")
-	for _, name := range phased {
-		per := m.series[name].phases
-		for _, phase := range sortedPhases(per) {
-			fmt.Fprintf(w, "partitiond_solve_phase_count_total{solver=%q,phase=%q} %d\n",
-				name, phase, per[phase].Count)
-		}
-	}
-}
+	perSolver("partitiond_solver_errors_total", "counter", "Solves that returned an error, by solver.",
+		func(ser *solveSeries) any { return ser.errors.Load() })
+	perSolver("partitiond_solver_iterations_total", "counter", "Solver main-loop iterations by solver.",
+		func(ser *solveSeries) any { return ser.iterations.Load() })
+	perSolver("partitiond_solver_latency_seconds_max", "gauge", "Slowest single solve by solver.",
+		func(ser *solveSeries) any { return time.Duration(ser.maxNanos.Load()).Seconds() })
+	perSolver("partitiond_solver_in_flight", "gauge", "Engine solves currently running, by solver.",
+		func(ser *solveSeries) any { return ser.inFlight.Load() })
 
-func sortedPhases(per map[string]obs.PhaseStat) []string {
-	out := make([]string, 0, len(per))
-	for phase := range per {
-		out = append(out, phase)
+	perPhase := func(metric, help string, value func(obs.PhaseStat) any) {
+		family(w, metric, "counter", help)
+		for i, name := range solvers {
+			for _, phase := range sortedKeys(phases[i]) {
+				fmt.Fprintf(w, "%s{solver=%q,phase=%q} %v\n", metric, name, phase, value(phases[i][phase]))
+			}
+		}
 	}
-	sort.Strings(out)
-	return out
+	perPhase("partitiond_solve_phase_seconds_total", "Time spent inside each solver phase span.",
+		func(ps obs.PhaseStat) any { return ps.Total.Seconds() })
+	perPhase("partitiond_solve_phase_count_total", "Phase spans recorded, by solver and phase.",
+		func(ps obs.PhaseStat) any { return ps.Count })
 }
